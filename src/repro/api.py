@@ -83,10 +83,6 @@ class RunStats:
         """Field name → value (for traces and bench records)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def copy(self) -> "RunStats":
-        """An independent field-by-field copy."""
-        return RunStats(**self.as_dict())
-
 
 @dataclass
 class OptimizationResult:
@@ -116,28 +112,6 @@ class OptimizationResult:
     def latency_s(self) -> float:
         """End-to-end optimization latency (logical plan → execution plan)."""
         return self.stats.latency_s
-
-    def copy(self) -> "OptimizationResult":
-        """An independent copy safe to hand to a second consumer.
-
-        The logical plan is deep-cloned and the platform assignment
-        rebuilt, so mutating the copy's plan or assignment cannot affect
-        the original (the plan cache relies on this). The
-        ``final_enumeration`` — which aliases enumeration matrices — is
-        deliberately not carried over.
-        """
-        from repro.rheem.execution_plan import ExecutionPlan as _ExecutionPlan
-
-        xplan = self.execution_plan
-        return OptimizationResult(
-            execution_plan=_ExecutionPlan(
-                xplan.plan.clone(), dict(xplan.assignment), xplan.registry
-            ),
-            predicted_runtime=self.predicted_runtime,
-            stats=self.stats.copy(),
-            optimizer=self.optimizer,
-            final_enumeration=None,
-        )
 
 
 @runtime_checkable

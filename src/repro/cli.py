@@ -341,11 +341,17 @@ def _print_feedback_stats(service) -> None:
     )
 
 
-def cmd_optimize_batch(args) -> int:
-    import json
+def _build_service(args, registry, chaos, *, use_cache, deadline_s, background):
+    """The batch service behind ``optimize-batch`` and ``serve``.
+
+    Checks the model file, loads (or starts) the plan cache when
+    ``use_cache`` and the template cache when ``--template-cache`` is
+    given, picks the resilient or the bare Robopt factory (``deadline_s``
+    is the resilient stack's per-run budget), and wires retries and
+    execution feedback (its retrain runs on a ``background`` thread).
+    """
     import os
 
-    from repro.bench import trajectory
     from repro.resilience import RetryPolicy
     from repro.serve import (
         BatchOptimizationService,
@@ -355,18 +361,11 @@ def cmd_optimize_batch(args) -> int:
         robopt_factory,
     )
 
-    if args.server:
-        return _optimize_batch_via_server(args)
-    if not args.model:
-        raise ReproError("--model is required (unless --server is given)")
-    registry = _registry(args.platforms)
-    jobs, error_rows = _load_jobs(args.jobs, registry)
-    chaos = _chaos_profile(args)
     resilient = not args.no_resilience
     if not os.path.isfile(args.model):
         if resilient:
             # The fallback chain turns a missing model into degraded plan
-            # quality (cost-model answers) instead of a dead batch.
+            # quality (cost-model answers) instead of a dead service.
             print(
                 f"warning: model {args.model} unreadable; serving from the "
                 "fallback chain",
@@ -377,16 +376,8 @@ def cmd_optimize_batch(args) -> int:
             # so a bad path would otherwise surface as N per-job failures.
             raise ReproError(f"cannot read model from {args.model}: no such file")
     cache = None
-    if args.cache:
-        if os.path.exists(args.cache):
-            if chaos is not None and chaos.cache_corrupt_rate > 0.0:
-                from repro.resilience import FaultInjector, corrupt_cache_file
-
-                if corrupt_cache_file(args.cache, FaultInjector(chaos)):
-                    print(
-                        f"chaos: corrupted plan cache {args.cache}",
-                        file=sys.stderr,
-                    )
+    if use_cache:
+        if args.cache and os.path.exists(args.cache):
             cache = PlanCache.load(args.cache, registry, max_entries=args.cache_size)
         else:
             cache = PlanCache(max_entries=args.cache_size)
@@ -409,9 +400,7 @@ def cmd_optimize_batch(args) -> int:
             platforms=platforms,
             model_path=args.model,
             priority=args.priority,
-            deadline_s=(
-                args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-            ),
+            deadline_s=deadline_s,
             chaos=chaos,
             variance_threshold=args.variance_threshold,
             risk_aversion=args.risk_aversion,
@@ -428,20 +417,68 @@ def cmd_optimize_batch(args) -> int:
             model_path=args.model,
             priority=args.priority,
         )
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    feedback = _feedback_controller(args, registry, background=False)
-    service = BatchOptimizationService(
+    feedback = _feedback_controller(args, registry, background=background)
+    return BatchOptimizationService(
         factory,
         registry,
         workers=args.workers,
         timeout_s=args.timeout,
         cache=cache,
         template_cache=template_cache,
-        retry=retry,
+        retry=RetryPolicy(max_retries=args.retries) if args.retries > 0 else None,
         quarantine_after=args.quarantine_after,
         feedback=feedback,
         model_path=args.model if feedback is not None else None,
     )
+
+
+def _save_caches(service, args) -> None:
+    """Persist the service's caches to the files they were loaded from."""
+    if service.cache is not None and args.cache:
+        service.cache.save(args.cache)
+        print(f"saved plan cache ({len(service.cache)} entries) to {args.cache}")
+    if service.template_cache is not None and args.template_cache:
+        service.template_cache.save(args.template_cache)
+        print(
+            f"saved template cache ({len(service.template_cache)} templates) "
+            f"to {args.template_cache}"
+        )
+
+
+def cmd_optimize_batch(args) -> int:
+    import json
+    import os
+
+    from repro.bench import trajectory
+
+    if args.server:
+        return _optimize_batch_via_server(args)
+    if not args.model:
+        raise ReproError("--model is required (unless --server is given)")
+    registry = _registry(args.platforms)
+    jobs, error_rows = _load_jobs(args.jobs, registry)
+    chaos = _chaos_profile(args)
+    if (
+        args.cache
+        and os.path.exists(args.cache)
+        and chaos is not None
+        and chaos.cache_corrupt_rate > 0.0
+    ):
+        from repro.resilience import FaultInjector, corrupt_cache_file
+
+        if corrupt_cache_file(args.cache, FaultInjector(chaos)):
+            print(f"chaos: corrupted plan cache {args.cache}", file=sys.stderr)
+    service = _build_service(
+        args,
+        registry,
+        chaos,
+        use_cache=bool(args.cache),
+        deadline_s=(
+            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
+        ),
+        background=False,
+    )
+    feedback = service.feedback
     try:
         with _maybe_trace(args):
             report = service.optimize_batch(jobs) if jobs else None
@@ -495,7 +532,7 @@ def cmd_optimize_batch(args) -> int:
     if report is not None:
         metrics = report.metrics()
         extras = ""
-        if template_cache is not None:
+        if service.template_cache is not None:
             extras += f", template hit rate {report.template_hit_rate:.0%}"
         if report.n_degraded or report.n_retried or report.n_quarantined:
             extras += (
@@ -528,15 +565,7 @@ def cmd_optimize_batch(args) -> int:
             )
     else:
         print(f"batch: 0 runnable jobs; rejected {n_bad_rows} malformed rows")
-    if cache is not None and args.cache:
-        cache.save(args.cache)
-        print(f"saved plan cache ({len(cache)} entries) to {args.cache}")
-    if template_cache is not None and args.template_cache:
-        template_cache.save(args.template_cache)
-        print(
-            f"saved template cache ({len(template_cache)} templates) "
-            f"to {args.template_cache}"
-        )
+    _save_caches(service, args)
     failed = n_bad_rows + (report.n_failed if report is not None else 0)
     return 0 if failed == 0 else 1
 
@@ -545,96 +574,29 @@ def cmd_serve(args) -> int:
     """Run the persistent optimization daemon until SIGTERM or a
     ``shutdown`` frame; exits 0 after a clean drain."""
     import asyncio
-    import os
 
     from repro.obs import Tracer
-    from repro.resilience import RetryPolicy
-    from repro.serve import (
-        BatchOptimizationService,
-        DaemonConfig,
-        OptimizationDaemon,
-        PlanCache,
-        TemplateCache,
-        resilient_robopt_factory,
-        robopt_factory,
-    )
+    from repro.serve import DaemonConfig, OptimizationDaemon
 
     if not args.socket and not args.host:
         raise ReproError("repro serve needs --socket PATH and/or --host")
     registry = _registry(args.platforms)
-    chaos = _chaos_profile(args)
-    resilient = not args.no_resilience
-    if not os.path.isfile(args.model):
-        if resilient:
-            print(
-                f"warning: model {args.model} unreadable; serving from the "
-                "fallback chain",
-                file=sys.stderr,
-            )
-        else:
-            raise ReproError(f"cannot read model from {args.model}: no such file")
     # A long-lived daemon defaults to an in-memory plan cache — repeated
     # fingerprints are its whole reason to exist; --cache additionally
-    # persists it across restarts.
-    cache = None
-    if not args.no_cache:
-        if args.cache and os.path.exists(args.cache):
-            cache = PlanCache.load(args.cache, registry, max_entries=args.cache_size)
-        else:
-            cache = PlanCache(max_entries=args.cache_size)
-    # The template tier is opt-in: it may serve guardrail-bounded (not
-    # bit-exact) answers, so the operator enables it deliberately.
-    template_cache = None
-    if args.template_cache:
-        if os.path.exists(args.template_cache):
-            template_cache = TemplateCache.load(
-                args.template_cache,
-                registry,
-                max_templates=args.template_cache_size,
-                guardrail=args.guardrail,
-            )
-        else:
-            template_cache = TemplateCache(
-                max_templates=args.template_cache_size, guardrail=args.guardrail
-            )
-    platforms = tuple(n.strip() for n in args.platforms.split(","))
-    if resilient:
-        factory = resilient_robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-            chaos=chaos,
-            variance_threshold=args.variance_threshold,
-            risk_aversion=args.risk_aversion,
-        )
-    else:
-        if chaos is not None:
-            raise ReproError("--chaos-profile requires the resilient stack")
-        if args.risk_aversion or args.variance_threshold is not None:
-            raise ReproError(
-                "--risk-aversion/--variance-threshold require the resilient stack"
-            )
-        factory = robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-        )
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    # The daemon retrains off the event loop: observations land inline
-    # per batch, the refit itself runs on a background thread.
-    feedback = _feedback_controller(args, registry, background=True)
-    service = BatchOptimizationService(
-        factory,
+    # persists it across restarts. The template tier stays opt-in: it may
+    # serve guardrail-bounded (not bit-exact) answers. Deadlines are
+    # per-request (DaemonConfig.default_deadline_ms), and the daemon
+    # retrains off the event loop: observations land inline per batch,
+    # the refit itself runs on a background thread.
+    service = _build_service(
+        args,
         registry,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        cache=cache,
-        template_cache=template_cache,
-        retry=retry,
-        quarantine_after=args.quarantine_after,
-        feedback=feedback,
-        model_path=args.model if feedback is not None else None,
+        _chaos_profile(args),
+        use_cache=not args.no_cache,
+        deadline_s=None,
+        background=True,
     )
+    feedback = service.feedback
     config = DaemonConfig(
         unix_path=args.socket,
         host=args.host,
@@ -661,15 +623,7 @@ def cmd_serve(args) -> int:
         if feedback is not None:
             feedback.join()
     _print_feedback_stats(service)
-    if cache is not None and args.cache:
-        cache.save(args.cache)
-        print(f"saved plan cache ({len(cache)} entries) to {args.cache}")
-    if template_cache is not None and args.template_cache:
-        template_cache.save(args.template_cache)
-        print(
-            f"saved template cache ({len(template_cache)} templates) "
-            f"to {args.template_cache}"
-        )
+    _save_caches(service, args)
     if code == 0:
         print("daemon drained cleanly", flush=True)
     else:

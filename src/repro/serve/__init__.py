@@ -9,7 +9,9 @@ subpackage provides the batch layer on top of any
   (topology + operator kinds + quantized cardinality buckets), the
   cache key;
 * :mod:`repro.serve.cache` — the fingerprint-keyed LRU
-  :class:`PlanCache` with hit/miss counters and JSON persistence;
+  :class:`PlanCache` of platform assignments, instantiated over each
+  caller's own plan on a hit, with hit/miss counters and JSON
+  persistence;
 * :mod:`repro.serve.template` — the second cache tier:
   :class:`TemplateCache`, keyed by cardinality-*stripped* template
   fingerprints, holding per-template candidate sets with a learned
@@ -48,7 +50,7 @@ from repro.serve.batch import (
     resilient_robopt_factory,
     robopt_factory,
 )
-from repro.serve.cache import CacheStats, PlanCache, copy_result
+from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.client import ServeClient, parse_address
 from repro.serve.daemon import DaemonConfig, OptimizationDaemon
 from repro.serve.feedback import FeedbackController
@@ -87,7 +89,6 @@ __all__ = [
     "resilient_robopt_factory",
     "PlanCache",
     "CacheStats",
-    "copy_result",
     "plan_fingerprint",
     "cardinality_bucket",
     "TemplateCache",

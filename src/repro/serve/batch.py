@@ -10,20 +10,26 @@ and drives them through any :class:`repro.api.Optimizer`:
   streamed over the executor's work queue; the pool survives across
   batches, so repeated ``optimize_batch`` calls pay worker warm-up once,
   not per batch. Jobs ship as the exact JSON plan documents of
-  :mod:`repro.rheem.serialization` and results return the same way, so
-  batch-mode answers are bit-identical to serial ones (the differential
-  suite asserts this). Per-job timeouts produce a per-job error entry; a
-  worker raising mid-job fails only its job; a worker *dying* breaks the
-  pool — the unfinished jobs fail, the warm pool is discarded, and the
-  next dispatch spawns a fresh one. A broken pool or an unpicklable
-  optimizer factory degrades gracefully to serial execution.
+  :mod:`repro.rheem.serialization`; a worker replies with the
+  :class:`~repro.serve.cache.Answer` (assignment, predicted runtime,
+  optimizer, stats), which the parent instantiates over the job's own
+  prepared plan, so batch-mode answers are bit-identical to serial ones
+  (the differential suite asserts this). Per-job timeouts produce a
+  per-job error entry; a worker raising mid-job fails only its job; a
+  worker *dying* breaks the pool — the unfinished jobs fail, the warm
+  pool is discarded, and the next dispatch spawns a fresh one. A broken
+  pool or an unpicklable optimizer factory degrades gracefully to serial
+  execution.
 * **Plan cache with in-flight dedupe** — an optional fingerprint-keyed
   :class:`~repro.serve.cache.PlanCache`, shared across every worker
   (lookups happen in the parent before dispatch; fresh results are
-  published back after). Within a batch, jobs sharing a fingerprint are
-  optimized once; *across concurrent batches*, a fingerprint whose
-  optimization is already in flight on a sibling thread coalesces onto
-  that computation instead of re-enumerating (``coalesced`` outcomes).
+  published back after). Every answer — a cache hit, a batch-local
+  follower, a pool reply — is built over the requesting job's own plan,
+  never copied from a sibling's. Within a batch, jobs sharing a
+  fingerprint are optimized once; *across concurrent batches*, a
+  fingerprint whose optimization is already in flight on a sibling
+  thread coalesces onto that computation instead of re-enumerating
+  (``coalesced`` outcomes).
 * **Singleton memoization** — the serial path (and each pool worker)
   shares one singleton-enumeration memo, so identical subplans are
   vectorized once (see :func:`repro.core.operations.enumerate_singleton`);
@@ -74,7 +80,7 @@ from repro.obs import current_tracer
 from repro.resilience.retry import Quarantine, RetryPolicy
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
-from repro.serve.cache import PlanCache, copy_result
+from repro.serve.cache import Answer, PlanCache
 from repro.serve.fingerprint import plan_fingerprint
 from repro.serve.template import TemplateCache, template_fingerprint
 
@@ -402,22 +408,13 @@ def _worker_init(factory: Callable[[], Optimizer], memoize: bool) -> None:
         _enable_singleton_memo(_WORKER_OPTIMIZER, {})
 
 
-def _worker_run(
-    job_id: str, plan_json: str, deadline_ms: Optional[float] = None
-) -> Dict[str, Any]:
-    """Optimize one shipped plan; returns a JSON-safe result document."""
-    from repro.rheem.serialization import execution_plan_to_dict, plan_from_json
+def _worker_run(plan_json: str, deadline_ms: Optional[float] = None) -> Answer:
+    """Optimize one shipped plan; returns its decision, not the plan."""
+    from repro.rheem.serialization import plan_from_json
 
     assert _WORKER_OPTIMIZER is not None, "worker pool not initialized"
     plan = plan_from_json(plan_json)
-    result = _optimize_with_deadline(_WORKER_OPTIMIZER, plan, deadline_ms)
-    return {
-        "job_id": job_id,
-        "execution_plan": execution_plan_to_dict(result.execution_plan),
-        "predicted_runtime": result.predicted_runtime,
-        "optimizer": result.optimizer,
-        "stats": result.stats.as_dict(),
-    }
+    return Answer.of(_optimize_with_deadline(_WORKER_OPTIMIZER, plan, deadline_ms))
 
 
 def _build_robopt(
@@ -595,6 +592,21 @@ def resilient_robopt_factory(
     )
 
 
+def _core_optimizer(optimizer: Optimizer) -> Any:
+    """The optimizer exposing a runtime ``model`` and a feature ``schema``.
+
+    Chaos and test wrappers delegate through an ``.inner`` chain; this
+    walks it. ``None`` when no layer exposes both.
+    """
+    probe: Any = optimizer
+    while probe is not None:
+        model = getattr(probe, "model", None)
+        if model is not None and getattr(probe, "schema", None) is not None:
+            return probe
+        probe = getattr(probe, "inner", None)
+    return None
+
+
 def _enable_singleton_memo(optimizer: Optimizer, memo: dict) -> bool:
     """Share a singleton-enumeration memo with an optimizer, if it can.
 
@@ -675,11 +687,16 @@ class _WarmWorkerPool:
             return self._executor
 
     def discard(self) -> None:
-        """Drop the executor (broken pool / shutdown); spawn anew later."""
+        """Drop the executor (broken pool / shutdown); spawn anew later.
+
+        Jobs already queued on it still run — a batch collecting them
+        (say, while a model install recycles the pool) gets its answers —
+        and its workers exit once the queue drains.
+        """
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
@@ -924,22 +941,14 @@ class BatchOptimizationService:
           its candidates are re-costed live through the (re-probed)
           recoster on every hit.
         """
-        installed = False
-        probe: Any = self._serial_optimizer()
-        for _ in range(4):  # unwrap chaos/resilience layers
-            inner_model = getattr(probe, "model", None)
-            if inner_model is not None and hasattr(inner_model, "swap_primary"):
-                inner_model.swap_primary(model)
-                installed = True
-                break
-            if inner_model is not None and hasattr(probe, "set_model"):
-                probe.set_model(model)
-                installed = True
-                break
-            probe = getattr(probe, "inner", None)
-            if probe is None:
-                break
-        if not installed:
+        core = _core_optimizer(self._serial_optimizer())
+        rebuilt = False
+        if core is not None and hasattr(core.model, "swap_primary"):
+            core.model.swap_primary(model)
+        elif core is not None and hasattr(core, "set_model"):
+            core.set_model(model)
+        else:
+            rebuilt = True
             self._optimizer = None  # rebuild from the factory on next use
         self._recoster = None  # re-probe: the old closure priced with the old model
         if self.model_path is not None:
@@ -956,7 +965,7 @@ class BatchOptimizationService:
             tracer.event(
                 "serve.model_installed",
                 generation=self.model_generation,
-                rebuilt=not installed,
+                rebuilt=rebuilt,
             )
 
     def feedback_stats(self) -> Dict[str, Any]:
@@ -980,17 +989,8 @@ class BatchOptimizationService:
         if self._recoster is False:
             return None
         if self._recoster is None:
-            probe: Any = self._serial_optimizer()
-            model = schema = None
-            for _ in range(4):  # unwrap chaos/resilience layers
-                model = getattr(probe, "model", None)
-                schema = getattr(probe, "schema", None)
-                if model is not None and schema is not None:
-                    break
-                probe = getattr(probe, "inner", None)
-                if probe is None:
-                    break
-            if model is None or schema is None:
+            core = _core_optimizer(self._serial_optimizer())
+            if core is None:
                 self._recoster = False
                 tracer = current_tracer()
                 if tracer.enabled:
@@ -1003,10 +1003,10 @@ class BatchOptimizationService:
 
             from repro.rheem.execution_plan import ExecutionPlan as _ExecutionPlan
 
-            registry = self.registry
+            registry, model, schema = self.registry, core.model, core.schema
 
             def recost(plan, assignment):
-                xplan = _ExecutionPlan(plan, dict(assignment), registry)
+                xplan = _ExecutionPlan(plan, assignment, registry)
                 features = _np.asarray(
                     schema.encode_execution_plan(xplan), dtype=_np.float64
                 )
@@ -1041,7 +1041,7 @@ class BatchOptimizationService:
                 fp = plan_fingerprint(plan, self.registry)
                 fingerprints[job.job_id] = fp
                 if self.cache is not None:
-                    cached = self.cache.get(fp)
+                    cached = self.cache.get(fp, plan)
                     if cached is not None:
                         hits += 1
                         outcomes[job.job_id] = JobOutcome(
@@ -1181,13 +1181,14 @@ class BatchOptimizationService:
                 time.sleep(delay)
             pending = retryable
 
-        # Fill followers from their representative (a batch-local hit) and
-        # publish fresh results to the cache.
+        # Fill followers from their representative (a batch-local hit:
+        # its decision over the follower's own plan) and publish fresh
+        # results to the cache.
         for key, job in representatives.items():
             rep = outcomes[job.job_id]
+            answered = rep.ok and rep.result is not None
             if (
-                rep.ok
-                and rep.result is not None
+                answered
                 # A degraded answer is the best *this deadline* allowed —
                 # caching it would serve a 10 ms compromise to every
                 # future deadline-free request of the same fingerprint.
@@ -1207,12 +1208,14 @@ class BatchOptimizationService:
                         rep.result,
                     )
             for follower in followers.get(key, []):
-                if rep.ok and rep.result is not None:
+                if answered:
                     hits += 1
                     outcomes[follower.job_id] = JobOutcome(
                         follower.job_id,
                         ok=True,
-                        result=copy_result(rep.result),
+                        result=Answer.of(rep.result).over(
+                            prepared[follower.job_id], self.registry
+                        ),
                         cached=True,
                         tags=follower.tags,
                     )
@@ -1345,13 +1348,13 @@ class BatchOptimizationService:
                                     coalesced.append((job, sibling))
                                     continue
                                 future = executor.submit(
-                                    _worker_run, job.job_id, payload, job.deadline_ms
+                                    _worker_run, payload, job.deadline_ms
                                 )
                                 self._inflight[key] = future
                                 own_fps.append(key)
                         else:
                             future = executor.submit(
-                                _worker_run, job.job_id, payload, job.deadline_ms
+                                _worker_run, payload, job.deadline_ms
                             )
                     except Exception as exc:  # pool broke during submission
                         broken = f"{type(exc).__name__}: {exc}"
@@ -1376,9 +1379,8 @@ class BatchOptimizationService:
                         job = future_jobs[future]
                         done_at = time.perf_counter()
                         try:
-                            doc = future.result()
-                            outcomes[job.job_id] = self._outcome_from_doc(
-                                job, doc, done_at - submitted
+                            outcomes[job.job_id] = self._pooled_outcome(
+                                job, future.result(), prepared, done_at - submitted
                             )
                         except BrokenProcessPool as exc:
                             broken = f"BrokenProcessPool: {exc}"
@@ -1423,9 +1425,11 @@ class BatchOptimizationService:
                         remaining = None
                         if deadline is not None:
                             remaining = max(0.05, deadline - time.perf_counter())
-                        doc = future.result(timeout=remaining)
-                        outcome = self._outcome_from_doc(
-                            job, doc, time.perf_counter() - submitted
+                        outcome = self._pooled_outcome(
+                            job,
+                            future.result(timeout=remaining),
+                            prepared,
+                            time.perf_counter() - submitted,
                         )
                         outcome.coalesced = True
                         outcomes[job.job_id] = outcome
@@ -1469,23 +1473,18 @@ class BatchOptimizationService:
                 pool.discard()
         return outcomes
 
-    def _outcome_from_doc(
-        self, job: BatchJob, doc: Dict[str, Any], duration_s: float
+    def _pooled_outcome(
+        self,
+        job: BatchJob,
+        answer: Answer,
+        prepared: Dict[str, LogicalPlan],
+        duration_s: float,
     ) -> JobOutcome:
-        from repro.rheem.serialization import execution_plan_from_dict
-
-        result = OptimizationResult(
-            execution_plan=execution_plan_from_dict(
-                doc["execution_plan"], self.registry
-            ),
-            predicted_runtime=float(doc["predicted_runtime"]),
-            stats=RunStats(**doc["stats"]),
-            optimizer=doc.get("optimizer", ""),
-        )
+        """A worker's (or coalesced sibling's) answer over this job's plan."""
         return JobOutcome(
             job.job_id,
             ok=True,
-            result=result,
+            result=answer.over(prepared[job.job_id], self.registry),
             duration_s=duration_s,
             tags=job.tags,
         )

@@ -1,21 +1,23 @@
 """The fingerprint-keyed plan cache: LRU, observable, persistable.
 
-Caches :class:`~repro.api.OptimizationResult` objects under plan
-fingerprints (:func:`repro.serve.fingerprint.plan_fingerprint`). A hit
-returns a **defensive copy** — the cached execution plan, assignment and
-stats are cloned so one caller mutating its result can never corrupt
-what the next caller receives (the cache equivalent of
-:meth:`PlanVectorEnumeration.select` never aliasing its source rows).
+Caches optimization decisions under plan fingerprints
+(:func:`repro.serve.fingerprint.plan_fingerprint`). An entry is an
+:class:`Answer` — the platform assignment, its predicted runtime, the
+producing optimizer and its stats — never a logical plan: a hit is
+instantiated over the *caller's own* plan by :meth:`Answer.over`. That
+gives every hit its own execution plan, assignment and stats by
+construction, so one caller mutating its result can never corrupt what
+the next caller receives, and no plan is ever copied.
 
 Hit/miss/eviction counts are kept on the cache *and* mirrored into the
 ambient tracer (``serve.cache.*`` counters), so a traced batch run shows
 its cache behaviour next to its enumeration spans.
 
-Persistence is plain JSON: execution plans serialize through
-:mod:`repro.rheem.serialization`, so a cache written by one process is
-readable by any other with a compatible platform registry. Cached stats
-are *not* persisted — a reloaded hit reports zeroed RunStats, since the
-enumeration work it saved happened in another process.
+Persistence is plain JSON holding assignments (operator id → platform
+name), written and read by :func:`write_json` / :func:`read_json`, the
+helpers the template cache shares. Cached stats are *not* persisted — a
+reloaded hit reports zeroed RunStats, since the enumeration work it
+saved happened in another process.
 """
 
 from __future__ import annotations
@@ -24,28 +26,115 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.api import OptimizationResult, RunStats
-from repro.exceptions import ReproError
+from repro.exceptions import PlanError, PlatformError, ReproError
 from repro.obs import current_tracer
+from repro.rheem.execution_plan import ExecutionPlan
+from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
 from repro.serve.fingerprint import FINGERPRINT_VERSION
 
-__all__ = ["PlanCache", "CacheStats", "copy_result"]
+__all__ = ["Answer", "PlanCache", "CacheStats"]
 
-#: Version of the JSON persistence format.
-CACHE_FORMAT_VERSION = 1
+#: Version of the JSON persistence format. Version 1 stored whole
+#: execution-plan documents; files of that version load as an empty cache.
+CACHE_FORMAT_VERSION = 2
 
 
-def copy_result(result: OptimizationResult) -> OptimizationResult:
-    """An independent copy of an optimization result.
+class Answer(NamedTuple):
+    """One optimization decision, detached from any logical plan.
 
-    Alias of :meth:`repro.api.OptimizationResult.copy`: the logical plan
-    is deep-cloned, the assignment rebuilt, and ``final_enumeration`` —
-    which aliases enumeration matrices — dropped.
+    This is the form in which the serving layer caches and ships a
+    result: exact-cache entries, batch-local followers and pool replies
+    all carry an ``Answer`` and instantiate it over the requesting job's
+    own plan with :meth:`over`.
     """
-    return result.copy()
+
+    assignment: Dict[int, str]
+    predicted_runtime: float
+    optimizer: str
+    #: :meth:`RunStats.as_dict` of the producing run (empty = zeroed).
+    stats: Dict[str, Any]
+
+    @classmethod
+    def of(cls, result: OptimizationResult) -> "Answer":
+        return cls(
+            dict(result.execution_plan.assignment),
+            float(result.predicted_runtime),
+            result.optimizer,
+            result.stats.as_dict(),
+        )
+
+    def over(self, plan: LogicalPlan, registry: PlatformRegistry) -> OptimizationResult:
+        """This decision as a fresh result over ``plan``."""
+        return OptimizationResult(
+            execution_plan=ExecutionPlan(plan, self.assignment, registry),
+            predicted_runtime=self.predicted_runtime,
+            stats=RunStats(**self.stats),
+            optimizer=self.optimizer,
+        )
+
+
+def write_json(path, doc: Dict[str, Any]) -> Path:
+    """Write ``doc`` atomically: a sibling ``.tmp`` file, then a rename."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=2) + "\n")
+    tmp.replace(path)
+    return path
+
+
+def note_corrupt(path, prefix: str, detail: str) -> None:
+    """Count one unreadable document or entry as ``<prefix>.load_corrupt``."""
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.count(f"{prefix}.load_corrupt")
+        tracer.event(f"{prefix}.corrupt", path=str(path), detail=detail)
+
+
+def read_json(
+    path, version: int, fingerprint_version: int, key: str, prefix: str
+) -> Tuple[Dict[str, Any], List[Any]]:
+    """The document at ``path`` and its ``key`` list, tolerating corruption.
+
+    A cache file is an *optimization*, never a point of failure: an
+    unreadable, truncated or otherwise corrupt document (the classic
+    crash-during-write artifact) reads as ``({}, [])`` and bumps the
+    ``<prefix>.load_corrupt`` counter. A document of an older format
+    version, or keyed under another fingerprint version, reads as
+    ``(doc, [])``: its keys could never match a fresh lookup. Any other
+    explicit format version (a newer one, or not an integer) raises —
+    silently discarding a future format would hide a real deployment
+    error.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        note_corrupt(path, prefix, f"{type(exc).__name__}: {exc}")
+        return {}, []
+    if not isinstance(doc, dict):
+        note_corrupt(path, prefix, f"expected a JSON object, got {type(doc).__name__}")
+        return {}, []
+    if "version" not in doc:
+        note_corrupt(path, prefix, "missing version field")
+        return {}, []
+    found = doc["version"]
+    if found != version:
+        if isinstance(found, int) and found < version:
+            return doc, []
+        raise ReproError(
+            f"unsupported format version {found!r} in {path} (expected {version})"
+        )
+    if doc.get("fingerprint_version") != fingerprint_version:
+        return doc, []
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        note_corrupt(path, prefix, f"{key} is {type(items).__name__}, not a list")
+        return {}, []
+    return doc, items
 
 
 @dataclass
@@ -77,26 +166,23 @@ class CacheStats:
 
 
 class PlanCache:
-    """An LRU mapping from plan fingerprint to optimization result.
+    """An LRU mapping from plan fingerprint to an optimization decision.
 
     Parameters
     ----------
     max_entries:
         The LRU bound; inserting beyond it evicts the least recently
         *used* entry (both ``get`` hits and ``put`` refresh recency).
-    copy_results:
-        Return/store defensive copies (the default). Disable only when
-        every caller treats results as immutable — e.g. a read-only
-        benchmark loop that wants hits at zero copy cost.
     """
 
-    def __init__(self, max_entries: int = 256, copy_results: bool = True):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ReproError(f"cache needs max_entries >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.copy_results = copy_results
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, OptimizationResult]" = OrderedDict()
+        self._entries: "OrderedDict[str, Tuple[Answer, PlatformRegistry]]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -113,11 +199,23 @@ class PlanCache:
         self._entries.clear()
 
     # ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> Optional[OptimizationResult]:
-        """The cached result for a fingerprint (``None`` on miss)."""
+    def get(self, fingerprint: str, plan: LogicalPlan) -> Optional[OptimizationResult]:
+        """The cached decision for a fingerprint as a result over ``plan``
+        (``None`` on miss).
+
+        An entry whose assignment does not fit ``plan`` (unknown operator
+        or platform) is dropped and counts as a miss.
+        """
         tracer = current_tracer()
-        hit = self._entries.get(fingerprint)
-        if hit is None:
+        entry = self._entries.get(fingerprint)
+        result = None
+        if entry is not None:
+            answer, registry = entry
+            try:
+                result = answer.over(plan, registry)
+            except (PlanError, PlatformError):
+                del self._entries[fingerprint]
+        if result is None:
             self.stats.misses += 1
             if tracer.enabled:
                 tracer.count("serve.cache.misses")
@@ -126,12 +224,14 @@ class PlanCache:
         self.stats.hits += 1
         if tracer.enabled:
             tracer.count("serve.cache.hits")
-        return copy_result(hit) if self.copy_results else hit
+        return result
 
     def put(self, fingerprint: str, result: OptimizationResult) -> None:
-        """Insert (or refresh) a result under its fingerprint."""
-        stored = copy_result(result) if self.copy_results else result
-        self._entries[fingerprint] = stored
+        """Insert (or refresh) a result's decision under its fingerprint."""
+        self._entries[fingerprint] = (
+            Answer.of(result),
+            result.execution_plan.registry,
+        )
         self._entries.move_to_end(fingerprint)
         self.stats.puts += 1
         tracer = current_tracer()
@@ -148,8 +248,6 @@ class PlanCache:
     # ------------------------------------------------------------------
     def save(self, path) -> Path:
         """Write the cache as one JSON document (LRU order preserved)."""
-        from repro.rheem.serialization import execution_plan_to_dict
-
         doc = {
             "version": CACHE_FORMAT_VERSION,
             "fingerprint_version": FINGERPRINT_VERSION,
@@ -157,21 +255,17 @@ class PlanCache:
             "entries": [
                 {
                     "fingerprint": fingerprint,
-                    "predicted_runtime": result.predicted_runtime,
-                    "optimizer": result.optimizer,
-                    "execution_plan": execution_plan_to_dict(
-                        result.execution_plan
-                    ),
+                    "assignment": {
+                        str(op_id): name
+                        for op_id, name in sorted(answer.assignment.items())
+                    },
+                    "predicted_runtime": answer.predicted_runtime,
+                    "optimizer": answer.optimizer,
                 }
-                for fingerprint, result in self._entries.items()
+                for fingerprint, (answer, _registry) in self._entries.items()
             ],
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
-        tmp.replace(path)
-        return path
+        return write_json(path, doc)
 
     @classmethod
     def load(
@@ -179,84 +273,40 @@ class PlanCache:
         path,
         registry: PlatformRegistry,
         max_entries: Optional[int] = None,
-        copy_results: bool = True,
     ) -> "PlanCache":
         """Rebuild a cache from :meth:`save` output.
 
-        Entries persisted under a different fingerprint scheme version are
-        dropped (they would never match a freshly computed key anyway).
-
-        A cache file is an *optimization*, never a point of failure: an
-        unreadable, truncated or otherwise corrupt document (the classic
-        crash-during-write artifact) yields an **empty** cache and bumps
-        the ``serve.cache.load_corrupt`` counter; individually malformed
-        entries are skipped the same way while the rest load. Only an
-        explicit, well-formed version field we do not support still
-        raises — silently discarding a future format would hide a real
-        deployment error.
+        Failure contract of :func:`read_json`: corrupt → empty (counted
+        as ``serve.cache.load_corrupt``), stale format or fingerprint
+        version → empty, future format version → raises. Individually
+        malformed entries are skipped (and counted) while the rest load;
+        an entry that does not fit the plan it is looked up with (say, a
+        platform outside ``registry``) is dropped by :meth:`get`.
         """
-        from repro.rheem.serialization import execution_plan_from_dict
-
-        tracer = current_tracer()
-
-        def corrupt(detail: str) -> "PlanCache":
-            if tracer.enabled:
-                tracer.count("serve.cache.load_corrupt")
-                tracer.event("serve.cache.corrupt", path=str(path), detail=detail)
-            return cls(
-                max_entries=max_entries if max_entries is not None else 256,
-                copy_results=copy_results,
-            )
-
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            return corrupt(f"{type(exc).__name__}: {exc}")
-        if not isinstance(doc, dict):
-            return corrupt(f"expected a JSON object, got {type(doc).__name__}")
-        if "version" in doc and doc["version"] != CACHE_FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported cache format version {doc.get('version')!r} "
-                f"(expected {CACHE_FORMAT_VERSION})"
-            )
-        if "version" not in doc:
-            return corrupt("missing version field")
-        try:
-            declared_max = int(doc.get("max_entries", 256))
-        except (TypeError, ValueError):
-            declared_max = 256
-        cache = cls(
-            max_entries=max_entries if max_entries is not None else declared_max,
-            copy_results=copy_results,
+        doc, entries = read_json(
+            path, CACHE_FORMAT_VERSION, FINGERPRINT_VERSION, "entries", "serve.cache"
         )
-        if doc.get("fingerprint_version") != FINGERPRINT_VERSION:
-            return cache
-        entries = doc.get("entries", [])
-        if not isinstance(entries, list):
-            return corrupt(f"entries is {type(entries).__name__}, not a list")
+        if max_entries is None:
+            try:
+                max_entries = int(doc.get("max_entries", 256))
+            except (TypeError, ValueError):
+                max_entries = 256
+        cache = cls(max_entries=max_entries)
         for entry in entries:
             try:
-                fingerprint = entry["fingerprint"]
-                result = OptimizationResult(
-                    execution_plan=execution_plan_from_dict(
-                        entry["execution_plan"], registry
-                    ),
-                    predicted_runtime=float(entry["predicted_runtime"]),
-                    stats=RunStats(),
-                    optimizer=entry.get("optimizer", ""),
+                answer = Answer(
+                    {int(op): str(name) for op, name in entry["assignment"].items()},
+                    float(entry["predicted_runtime"]),
+                    str(entry.get("optimizer", "")),
+                    {},
                 )
+                fingerprint = entry["fingerprint"]
             except Exception as exc:
-                if tracer.enabled:
-                    tracer.count("serve.cache.load_corrupt")
-                    tracer.event(
-                        "serve.cache.corrupt",
-                        path=str(path),
-                        detail=f"entry: {type(exc).__name__}: {exc}",
-                    )
+                note_corrupt(path, "serve.cache", f"entry: {type(exc).__name__}: {exc}")
                 continue
             # Bypass put(): loading must not inflate the put/eviction
             # stats of the new cache's lifetime.
-            cache._entries[fingerprint] = result
+            cache._entries[fingerprint] = (answer, registry)
             while len(cache._entries) > cache.max_entries:
                 cache._entries.popitem(last=False)
         return cache

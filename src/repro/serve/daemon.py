@@ -411,10 +411,11 @@ class OptimizationDaemon:
                 code="shutting_down",
             )
         # Resolve + fingerprint on the event loop: cheap (sha256 over the
-        # plan structure) and it gates both coalescing and admission.
+        # plan structure) and it gates both coalescing and admission. The
+        # resolved plan is this request's own object, so sizing scales it
+        # in place.
         plan = request_to_plan(request)
         if request.size_bytes is not None:
-            plan = plan.clone()
             plan.scale_datasets_to_bytes(request.size_bytes)
         deadline_ms = (
             request.deadline_ms

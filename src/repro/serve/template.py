@@ -28,7 +28,8 @@ candidate set via :meth:`TemplateCache.observe`. The failure mode of this
 cache is therefore *wasted work*, never a wrong plan.
 
 Counters (``serve.template.*``) mirror into the ambient tracer like the
-exact cache's, and JSON persistence carries the same versioned
+exact cache's, and JSON persistence goes through the exact cache's
+helpers (:func:`repro.serve.cache.read_json`), with the same versioned
 invalidation: a corrupt file loads empty (never raises), a foreign
 fingerprint version drops entries, only an explicit unsupported format
 version is an error.
@@ -40,7 +41,7 @@ import hashlib
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,7 +53,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.obs import current_tracer
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
-from repro.serve.cache import copy_result
+from repro.serve.cache import note_corrupt, read_json, write_json
 
 __all__ = [
     "TEMPLATE_FINGERPRINT_VERSION",
@@ -264,8 +265,6 @@ class TemplateCache:
         unsure and the lookup falls back to enumeration.
     selector_seed:
         Seed for the default selector forests.
-    copy_results:
-        Return defensive copies from :meth:`get` (the default).
     selector_factory:
         Override the selector constructor (chaos tests inject failing or
         NaN-emitting selectors here); must return an object with
@@ -281,7 +280,6 @@ class TemplateCache:
         min_observations: int = 4,
         max_selector_variance: float = 0.25,
         selector_seed: int = 0,
-        copy_results: bool = True,
         selector_factory: Optional[Callable[[], object]] = None,
     ):
         if max_templates < 1:
@@ -301,7 +299,6 @@ class TemplateCache:
         self.min_observations = min_observations
         self.max_selector_variance = max_selector_variance
         self.selector_seed = selector_seed
-        self.copy_results = copy_results
         self.selector_factory = selector_factory
         self.stats = TemplateCacheStats()
         self._entries: "OrderedDict[str, _TemplateEntry]" = OrderedDict()
@@ -431,10 +428,12 @@ class TemplateCache:
         Every stored candidate is re-costed via ``recost`` at the plan's
         actual cardinalities; the selector's pick (trivial for a single
         candidate) is served only when it lands within ``guardrail`` of
-        the cheapest candidate. Any refusal — no entry, re-cost failure,
-        unconfident or broken selector, guardrail breach — returns
-        ``None`` and counts as a miss; the caller must then enumerate and
-        :meth:`observe` the fresh result.
+        the cheapest candidate. The answer is the execution plan
+        ``recost`` built over ``plan`` itself, so it needs no copy. Any
+        refusal — no entry, re-cost failure, unconfident or broken
+        selector, guardrail breach — returns ``None`` and counts as a
+        miss; the caller must then enumerate and :meth:`observe` the
+        fresh result.
         """
         tracer = current_tracer()
         entry = self._entries.get(fingerprint)
@@ -474,13 +473,12 @@ class TemplateCache:
         self.stats.hits += 1
         if tracer.enabled:
             tracer.count("serve.template.hits")
-        result = OptimizationResult(
+        return OptimizationResult(
             execution_plan=xplans[pick],
             predicted_runtime=costs[pick],
             stats=RunStats(),
             optimizer=entry.candidates[pick].optimizer,
         )
-        return copy_result(result) if self.copy_results else result
 
     # ------------------------------------------------------------------
     def observe(
@@ -581,12 +579,7 @@ class TemplateCache:
                 for fingerprint, entry in self._entries.items()
             ],
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
-        tmp.replace(path)
-        return path
+        return write_json(path, doc)
 
     @classmethod
     def load(
@@ -595,13 +588,12 @@ class TemplateCache:
         registry: Optional[PlatformRegistry] = None,
         max_templates: Optional[int] = None,
         guardrail: Optional[float] = None,
-        copy_results: bool = True,
         **kwargs,
     ) -> "TemplateCache":
         """Rebuild a cache from :meth:`save` output.
 
-        Same failure contract as :meth:`PlanCache.load`: a corrupt file
-        (unreadable/truncated/not-an-object/missing version) yields an
+        Same failure contract as :meth:`PlanCache.load` (see
+        :func:`~repro.serve.cache.read_json`): a corrupt file yields an
         **empty** cache and bumps ``serve.template.load_corrupt``; a
         foreign fingerprint version drops all templates silently; only an
         explicit unsupported format version raises. Individually
@@ -609,56 +601,24 @@ class TemplateCache:
         ``registry`` is given, candidates naming platforms outside it are
         dropped (they could never be instantiated).
         """
-        tracer = current_tracer()
-
-        def fresh() -> "TemplateCache":
-            return cls(
-                max_templates=max_templates if max_templates is not None else 256,
-                guardrail=guardrail if guardrail is not None else 1.2,
-                copy_results=copy_results,
-                **kwargs,
-            )
-
-        def corrupt(detail: str) -> "TemplateCache":
-            if tracer.enabled:
-                tracer.count("serve.template.load_corrupt")
-                tracer.event(
-                    "serve.template.corrupt", path=str(path), detail=detail
-                )
-            return fresh()
-
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            return corrupt(f"{type(exc).__name__}: {exc}")
-        if not isinstance(doc, dict):
-            return corrupt(f"expected a JSON object, got {type(doc).__name__}")
-        if "version" in doc and doc["version"] != TEMPLATE_CACHE_FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported template cache format version "
-                f"{doc.get('version')!r} (expected {TEMPLATE_CACHE_FORMAT_VERSION})"
-            )
-        if "version" not in doc:
-            return corrupt("missing version field")
-        try:
-            declared_max = int(doc.get("max_templates", 256))
-        except (TypeError, ValueError):
-            declared_max = 256
-        try:
-            declared_guardrail = float(doc.get("guardrail", 1.2))
-        except (TypeError, ValueError):
-            declared_guardrail = 1.2
-        cache = cls(
-            max_templates=max_templates if max_templates is not None else declared_max,
-            guardrail=guardrail if guardrail is not None else declared_guardrail,
-            copy_results=copy_results,
-            **kwargs,
+        doc, templates = read_json(
+            path,
+            TEMPLATE_CACHE_FORMAT_VERSION,
+            TEMPLATE_FINGERPRINT_VERSION,
+            "templates",
+            "serve.template",
         )
-        if doc.get("fingerprint_version") != TEMPLATE_FINGERPRINT_VERSION:
-            return cache
-        templates = doc.get("templates", [])
-        if not isinstance(templates, list):
-            return corrupt(f"templates is {type(templates).__name__}, not a list")
+        if max_templates is None:
+            try:
+                max_templates = int(doc.get("max_templates", 256))
+            except (TypeError, ValueError):
+                max_templates = 256
+        if guardrail is None:
+            try:
+                guardrail = float(doc.get("guardrail", 1.2))
+            except (TypeError, ValueError):
+                guardrail = 1.2
+        cache = cls(max_templates=max_templates, guardrail=guardrail, **kwargs)
         known = set(registry.names) if registry is not None else None
         for item in templates:
             try:
@@ -696,13 +656,9 @@ class TemplateCache:
                             )
                         )
             except Exception as exc:
-                if tracer.enabled:
-                    tracer.count("serve.template.load_corrupt")
-                    tracer.event(
-                        "serve.template.corrupt",
-                        path=str(path),
-                        detail=f"template: {type(exc).__name__}: {exc}",
-                    )
+                note_corrupt(
+                    path, "serve.template", f"template: {type(exc).__name__}: {exc}"
+                )
                 continue
             # Bypass observe(): loading must not inflate put/eviction stats.
             cache._entries[fingerprint] = entry

@@ -17,6 +17,7 @@ exists to demonstrate:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -523,7 +524,7 @@ class TestTemplateCacheChaos:
         """Forge a 2-candidate template (all-platform-0 / all-platform-1)."""
         base = optimizer.optimize(plan)
         for name in registry.names:
-            forged = base.copy()
+            forged = copy.deepcopy(base)
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = name
             cache.observe(tfp, plan, forged)

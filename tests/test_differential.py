@@ -27,6 +27,7 @@ Three guarantees the serving layer must never break:
 
 from __future__ import annotations
 
+import copy
 import numpy as np
 import pytest
 
@@ -345,7 +346,7 @@ class TestTemplateGuardrail:
         # Forge a second candidate so the template is multi-candidate.
         names = list(registry.names)
         for name in names:
-            forged = base.copy()
+            forged = copy.deepcopy(base)
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = name
             cache.observe(tfp, plan, forged)

@@ -745,7 +745,7 @@ class TestPlanCacheCorruptLoad:
         registry = _registry()
         path = self._saved_cache(tmp_path, registry, n=3)
         doc = json.loads(path.read_text())
-        doc["entries"][1]["execution_plan"] = {"mangled": True}
+        doc["entries"][1]["assignment"] = {"mangled": True}
         path.write_text(json.dumps(doc))
         cache = PlanCache.load(path, registry)
         assert len(cache) == 2

@@ -697,3 +697,178 @@ class TestFeedbackWiring:
             assert stats["model_generation"] == service.model_generation
         finally:
             service.close()
+
+
+@pytest.fixture
+def clone_calls(monkeypatch):
+    """Names of the plans ``LogicalPlan.clone`` is called on (this process)."""
+    from repro.rheem.logical_plan import LogicalPlan
+
+    calls = []
+    original = LogicalPlan.clone
+
+    def counting(self):
+        calls.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(LogicalPlan, "clone", counting)
+    return calls
+
+
+class TestAnswersOverOwnPlan:
+    """Every answer is its decision instantiated over the requesting
+    job's own (prepared) plan: no plan is copied, and no job is handed a
+    sibling's plan object."""
+
+    def _assert_own_plans(self, report, jobs):
+        assert report.n_failed == 0
+        for job, outcome in zip(jobs, report.outcomes):
+            assert outcome.result.execution_plan.plan is job.plan, job.job_id
+
+    def test_exact_hits(self, registry, clone_calls):
+        cache = PlanCache(max_entries=8)
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS), registry, workers=0, cache=cache
+        )
+        service.optimize_batch([BatchJob("warm", build_pipeline(3))])
+        clone_calls.clear()
+        jobs = [BatchJob(f"hit{i}", build_pipeline(3)) for i in range(2)]
+        report = service.optimize_batch(jobs)
+        assert report.cache_hits == 2
+        self._assert_own_plans(report, jobs)
+        assert clone_calls == []
+
+    def test_template_hits(self, registry, clone_calls):
+        from repro.serve import TemplateCache
+
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            template_cache=TemplateCache(),
+        )
+        service.optimize_batch([BatchJob("warm", build_pipeline(3, 1e6))])
+        clone_calls.clear()
+        jobs = [BatchJob("probe", build_pipeline(3, 3e8))]
+        report = service.optimize_batch(jobs)
+        assert report.outcomes[0].template_hit
+        self._assert_own_plans(report, jobs)
+        assert clone_calls == []
+
+    def test_batch_followers(self, registry, clone_calls):
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            cache=PlanCache(max_entries=8),
+        )
+        jobs = [BatchJob(f"dup{i}", build_pipeline(3)) for i in range(3)]
+        report = service.optimize_batch(jobs)
+        assert report.cache_hits == 2  # two followers of one representative
+        self._assert_own_plans(report, jobs)
+        assert clone_calls == []
+
+    def test_pooled_jobs(self, registry, clone_calls):
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS), registry, workers=2
+        )
+        try:
+            jobs = [BatchJob(f"p{n}", build_pipeline(n)) for n in (2, 3, 4)]
+            report = service.optimize_batch(jobs)
+            assert report.mode == "pool"
+            self._assert_own_plans(report, jobs)
+            assert clone_calls == []
+        finally:
+            service.close()
+
+    def test_coalesced_jobs(self, registry, tmp_path, clone_calls):
+        import time
+
+        factory = counting_robopt_factory(
+            platforms=N_PLATFORMS, state_dir=str(tmp_path / "probe"), sleep_s=1.0
+        )
+        service = BatchOptimizationService(
+            factory, registry, workers=2, cache=PlanCache(max_entries=8)
+        )
+        jobs = {key: BatchJob(key, build_pipeline(3)) for key in ("first", "second")}
+        reports = {}
+
+        def run(key, delay):
+            time.sleep(delay)
+            reports[key] = service.optimize_batch([jobs[key]])
+
+        try:
+            threads = [
+                threading.Thread(target=run, args=("first", 0.0)),
+                threading.Thread(target=run, args=("second", 0.4)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+            assert sum(r.n_coalesced for r in reports.values()) == 1
+            for key, report in reports.items():
+                self._assert_own_plans(report, [jobs[key]])
+            assert clone_calls == []
+        finally:
+            service.close()
+
+    def test_sized_jobs_answer_over_their_prepared_plan(self, registry):
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            cache=PlanCache(max_entries=8),
+        )
+        plan = build_pipeline(3)
+        report = service.optimize_batch(
+            [BatchJob(f"s{i}", plan, size_bytes=5e8) for i in range(2)]
+        )
+        assert report.n_failed == 0
+        first, second = (o.result.execution_plan.plan for o in report.outcomes)
+        # Each job's own sized clone, never the caller's unsized plan.
+        assert first is not second
+        assert first is not plan and second is not plan
+        assert second.datasets[0].size_bytes == pytest.approx(5e8)
+
+
+class TestInstallDuringPooledBatch:
+    def test_every_job_of_the_batch_finishes(self, registry, tmp_path):
+        """Installing a model recycles the warm pool. A batch still
+        collecting its jobs from that pool must get every answer, not
+        wait forever on queued jobs the recycle cancelled."""
+        import time
+
+        from repro.core.features import FeatureSchema
+        from repro.serve.testing import LinearRuntimeModel
+
+        state = str(tmp_path / "probe")
+        factory = counting_robopt_factory(
+            platforms=N_PLATFORMS, state_dir=state, sleep_s=0.3
+        )
+        service = BatchOptimizationService(factory, registry, workers=2)
+        model = LinearRuntimeModel(FeatureSchema(registry).n_features, seed=9)
+        jobs = [BatchJob(f"j{n}", build_pipeline(n)) for n in range(2, 10)]
+        reports = []
+        batch = threading.Thread(
+            target=lambda: reports.append(service.optimize_batch(jobs)), daemon=True
+        )
+        try:
+            batch.start()
+            landed_by = time.monotonic() + 60.0
+            while count_markers(state, "opt") < 1 and time.monotonic() < landed_by:
+                time.sleep(0.01)
+            assert count_markers(state, "opt") >= 1
+            installer = threading.Thread(target=service.install_model, args=(model,))
+            installer.start()
+            installer.join(timeout=30.0)
+            assert not installer.is_alive()
+            batch.join(timeout=60.0)
+            assert not batch.is_alive(), "the batch hung after the pool was recycled"
+            (report,) = reports
+            assert report.n_ok == len(jobs)
+            assert all(o.ok for o in report.outcomes)
+            assert service.model_generation == 1
+        finally:
+            service.close()

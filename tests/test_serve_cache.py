@@ -1,9 +1,9 @@
-"""The plan cache: LRU bound, persistence, counters, defensive copies.
+"""The plan cache: LRU bound, persistence, counters, hit isolation.
 
 Also holds the regression tests for the two aliasing hazards this layer
 closed: :meth:`PlanVectorEnumeration.select` returning *views* of its
 source matrices, and cache hits handing every caller the *same* result
-object.
+object (each hit is built over the caller's own plan instead).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.exceptions import ReproError
 from repro.obs import Tracer, use_tracer
 from repro.rheem.platforms import synthetic_registry
 from repro.serve import PlanCache, plan_fingerprint
-from repro.serve.cache import CACHE_FORMAT_VERSION, copy_result
+from repro.serve.cache import CACHE_FORMAT_VERSION
 from repro.serve.testing import LinearRuntimeModel
 
 from conftest import build_pipeline
@@ -53,7 +53,7 @@ class TestLRU:
         result = _result(optimizer)
         cache.put("a", result)
         cache.put("b", result)
-        assert cache.get("a") is not None  # refresh "a"
+        assert cache.get("a", build_pipeline(3)) is not None  # refresh "a"
         cache.put("c", result)  # evicts "b", not "a"
         assert "a" in cache
         assert "b" not in cache
@@ -77,9 +77,10 @@ class TestCounters:
     def test_hit_miss_accounting(self, optimizer):
         cache = PlanCache(max_entries=8)
         result = _result(optimizer)
-        assert cache.get("fp") is None
+        plan = build_pipeline(3)
+        assert cache.get("fp", plan) is None
         cache.put("fp", result)
-        assert cache.get("fp") is not None
+        assert cache.get("fp", plan) is not None
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
         assert cache.stats.puts == 1
@@ -90,10 +91,11 @@ class TestCounters:
         cache = PlanCache(max_entries=1)
         result = _result(optimizer)
         tracer = Tracer()
+        plan = build_pipeline(3)
         with use_tracer(tracer):
-            cache.get("a")  # miss
+            cache.get("a", plan)  # miss
             cache.put("a", result)
-            cache.get("a")  # hit
+            cache.get("a", plan)  # hit
             cache.put("b", result)  # evicts "a"
         assert tracer.counters["serve.cache.misses"] == 1
         assert tracer.counters["serve.cache.hits"] == 1
@@ -113,9 +115,9 @@ class TestMismatch:
         assert fp_short != fp_long
         result_short = optimizer.optimize(short)
         cache.put(fp_short, result_short)
-        assert cache.get(fp_long) is None
-        hit = cache.get(fp_short)
-        assert hit.execution_plan.plan.signature() == short.signature()
+        assert cache.get(fp_long, long) is None
+        hit = cache.get(fp_short, short)
+        assert hit.execution_plan.plan is short
 
 
 class TestPersistence:
@@ -128,7 +130,7 @@ class TestPersistence:
 
         loaded = PlanCache.load(path, registry)
         assert len(loaded) == 1
-        hit = loaded.get(fp)
+        hit = loaded.get(fp, build_pipeline(3))
         assert hit is not None
         assert hit.predicted_runtime == result.predicted_runtime
         assert hit.execution_plan.assignment == result.execution_plan.assignment
@@ -160,6 +162,49 @@ class TestPersistence:
         loaded = PlanCache.load(path, registry)
         assert len(loaded) == 0  # stale keys can never match: drop them
 
+    def test_version_1_file_loads_empty(self, tmp_path, optimizer, registry):
+        """Version-1 files stored whole execution-plan documents; they
+        load as an empty cache instead of stopping the service."""
+        import json
+
+        from repro.rheem.serialization import execution_plan_to_dict
+
+        result = _result(optimizer)
+        doc = {
+            "version": 1,
+            "fingerprint_version": 1,
+            "max_entries": 8,
+            "entries": [
+                {
+                    "fingerprint": "fp",
+                    "predicted_runtime": result.predicted_runtime,
+                    "optimizer": result.optimizer,
+                    "execution_plan": execution_plan_to_dict(result.execution_plan),
+                }
+            ],
+        }
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(doc))
+        loaded = PlanCache.load(path, registry)
+        assert len(loaded) == 0
+        assert loaded.max_entries == 8
+
+    def test_persisted_entries_hold_assignments_not_plans(
+        self, tmp_path, optimizer, registry
+    ):
+        import json
+
+        cache = PlanCache(max_entries=8)
+        cache.put("fp", _result(optimizer))
+        doc = json.loads(cache.save(tmp_path / "cache.json").read_text())
+        (entry,) = doc["entries"]
+        assert set(entry) == {
+            "fingerprint",
+            "assignment",
+            "predicted_runtime",
+            "optimizer",
+        }
+
     def test_unknown_format_version_rejected(self, tmp_path, optimizer, registry):
         import json
 
@@ -174,32 +219,68 @@ class TestPersistence:
 
 
 class TestDefensiveCopies:
+    """Each hit is the cached decision over its caller's own plan, so
+    callers are isolated by construction rather than by copying."""
+
     def test_hits_are_independent_objects(self, optimizer):
         cache = PlanCache(max_entries=8)
         cache.put("fp", _result(optimizer))
-        first = cache.get("fp")
+        first = cache.get("fp", build_pipeline(3))
         # A caller scribbling over its result ...
         first.execution_plan.assignment[0] = "corrupted"
         first.execution_plan.plan.operators[1].selectivity = -123.0
+        first.stats.vectors_created = -1
         # ... must not leak into what the next caller receives.
-        second = cache.get("fp")
+        second = cache.get("fp", build_pipeline(3))
         assert second.execution_plan.assignment[0] != "corrupted"
         assert second.execution_plan.plan.operators[1].selectivity != -123.0
+        assert second.stats.vectors_created != -1
 
     def test_put_detaches_from_the_source(self, optimizer):
         cache = PlanCache(max_entries=8)
         result = _result(optimizer)
         cache.put("fp", result)
         result.execution_plan.assignment[0] = "mutated-after-put"
-        assert cache.get("fp").execution_plan.assignment[0] != "mutated-after-put"
+        hit = cache.get("fp", build_pipeline(3))
+        assert hit.execution_plan.assignment[0] != "mutated-after-put"
 
-    def test_copy_result_drops_enumeration_alias(self, optimizer):
+    def test_hit_is_built_over_the_callers_plan(self, optimizer, monkeypatch):
+        from repro.rheem.logical_plan import LogicalPlan
+
+        cache = PlanCache(max_entries=8)
         result = _result(optimizer)
-        assert result.final_enumeration is not None
-        clone = copy_result(result)
-        assert clone.final_enumeration is None
-        assert clone.stats is not result.stats
-        assert clone.stats.as_dict() == result.stats.as_dict()
+        cache.put("fp", result)
+        clones = []
+        original = LogicalPlan.clone
+        monkeypatch.setattr(
+            LogicalPlan, "clone", lambda self: clones.append(self) or original(self)
+        )
+        plan = build_pipeline(3)
+        hit = cache.get("fp", plan)
+        assert hit.execution_plan.plan is plan
+        assert hit.execution_plan.assignment == result.execution_plan.assignment
+        assert hit.predicted_runtime == result.predicted_runtime
+        assert hit.stats.as_dict() == result.stats.as_dict()
+        assert hit.final_enumeration is None  # never aliases enumeration matrices
+        assert clones == []
+
+    def test_entry_that_does_not_fit_the_plan_is_a_miss(
+        self, tmp_path, optimizer, registry
+    ):
+        """A persisted entry is outside input: one naming an operator the
+        plan lacks is dropped as a miss instead of failing the lookup."""
+        import json
+
+        cache = PlanCache(max_entries=8)
+        cache.put("fp", _result(optimizer))
+        path = cache.save(tmp_path / "cache.json")
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["assignment"]["99"] = registry.names[0]
+        path.write_text(json.dumps(doc))
+        loaded = PlanCache.load(path, registry)
+        assert loaded.get("fp", build_pipeline(3)) is None
+        assert "fp" not in loaded
+        assert loaded.stats.misses == 1
 
     def test_select_never_aliases_the_source(self, optimizer):
         """Regression: ``select`` with slice-like indices used to return

@@ -13,6 +13,7 @@ re-costing, and the learned selector's fallback discipline.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -276,7 +277,7 @@ class TestCandidatesAndLRU:
         # Forge three distinct assignments for one template.
         names = list(registry.names)
         for i in range(3):
-            forged = result.copy()
+            forged = copy.deepcopy(result)
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = names[i % len(names)]
             cache.observe(tfp, plan, forged)
@@ -358,7 +359,7 @@ class TestGuardrailAndSelector:
         result = optimizer.optimize(plan)
         names = list(registry.names)
         for name in names[:2]:
-            forged = result.copy()
+            forged = copy.deepcopy(result)
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = name
             cache.observe(tfp, plan, forged)
@@ -396,7 +397,7 @@ class TestGuardrailAndSelector:
         result = optimizer.optimize(plan)
         names = list(registry.names)
         for name in names[:2]:
-            forged = result.copy()
+            forged = copy.deepcopy(result)
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = name
             cache.observe(tfp, plan, forged)
